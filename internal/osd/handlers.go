@@ -122,10 +122,8 @@ func (o *OSD) dispatch(conn messenger.Conn, m wire.Message) {
 		_ = conn.Send(&wire.Reply{ReqID: msg.ReqID, Status: status})
 	case *wire.OplogPull:
 		o.serveOplogPull(conn, msg)
-	case *wire.BackfillPull:
-		o.serveBackfillPull(conn, msg)
-	case *wire.ScrubPull:
-		o.serveScrubPull(conn, msg)
+	case *wire.PGPull:
+		o.servePGPull(conn, msg)
 	case *wire.MonMap:
 		if m2, err := crush.Decode(msg.MapBytes); err == nil {
 			o.SetMap(m2)
@@ -195,10 +193,14 @@ func (o *OSD) admitMutation(conn messenger.Conn, reqID uint64, pg uint32, oid wi
 	if pgs == nil || pgs.throttle == nil {
 		return true
 	}
-	switch pgs.throttle.State() {
+	// Observe, not State: while the reject band bounces every client
+	// write, no append samples the log, and a drain that empties it does
+	// not resample either. Reading the cached state here would keep the
+	// PG rejecting forever after the drain caught up.
+	occ := pgs.log.Occupancy()
+	switch pgs.throttle.Observe(occ) {
 	case qos.StateDelay:
 		o.wakeNPT(pg)
-		occ := pgs.log.Occupancy()
 		if inCredit && occ < throttleMid(pgs.throttle) {
 			// Differentiated backpressure, lower half of the delay band
 			// only: past the midpoint the log is losing the race and

@@ -124,11 +124,6 @@ type Config struct {
 	// GroupCommitMax caps how many concurrent appends the op log commits
 	// as one group (one shared NVM persist). 0 means the oplog default.
 	GroupCommitMax int
-	// ReplBatchMax caps how many queued ops for one peer coalesce into a
-	// single ReplBatch frame. The batch engages only when more than one
-	// op is waiting (idle peers see plain Repl frames, unchanged
-	// latency); 1 disables batching entirely. Default 32.
-	ReplBatchMax int
 	// QoSRate enables per-tenant token-bucket admission at the messenger
 	// ingress: a global client-write budget in ops/sec, weighted-fair
 	// shared across tenants (one tenant per volume/image). 0 disables
@@ -157,8 +152,6 @@ type Config struct {
 	Account *metrics.CPUAccount
 	// Pools optionally pins priority/non-priority workers to CPU pools.
 	Pools sched.CPUPools
-	// HeartbeatInterval for monitor pings.
-	HeartbeatInterval time.Duration
 	// StoreOptions tunes the backend store.
 	BlueStore bluestore.Options
 	COS       cos.Options
@@ -213,12 +206,6 @@ func (c *Config) fill() error {
 		if c.OplogRegionBytes < 2<<20 {
 			c.OplogRegionBytes = 2 << 20
 		}
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.ReplBatchMax <= 0 {
-		c.ReplBatchMax = 32
 	}
 	if c.QoSBurst <= 0 {
 		c.QoSBurst = 64
@@ -353,7 +340,7 @@ type OSD struct {
 	// creditWindowFor compares a peer against its fastest sibling.
 	ackFloor1 atomic.Int64
 	ackFloor2 atomic.Int64
-	// aux tracks dialled side connections (backfill pulls) whose recv
+	// aux tracks dialled pull connections (pullConn) whose recv
 	// would otherwise block a stop forever when the peer never answers.
 	aux messenger.ConnSet
 

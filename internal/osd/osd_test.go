@@ -7,6 +7,7 @@ import (
 	"rebloc/internal/device"
 	"rebloc/internal/messenger"
 	"rebloc/internal/nvm"
+	"rebloc/internal/qos"
 	"rebloc/internal/store"
 	"rebloc/internal/wire"
 )
@@ -245,5 +246,64 @@ func TestOSDStandaloneStartClose(t *testing.T) {
 	}
 	if err := o.Close(); err != nil {
 		t.Fatal("double close must be safe")
+	}
+}
+
+// replyConn records the replies an admission check sends.
+type replyConn struct{ sent []wire.Message }
+
+func (c *replyConn) Send(m wire.Message) error   { c.sent = append(c.sent, m); return nil }
+func (c *replyConn) Recv() (wire.Message, error) { select {} }
+func (c *replyConn) Close() error                { return nil }
+func (c *replyConn) RemoteAddr() string          { return "test" }
+
+// TestAdmitLeavesRejectBandOnceDrained: a PG whose throttle entered the
+// reject band must admit client writes again once its log has drained.
+// While every client write bounces, no append samples the occupancy, so
+// admission has to take the sample itself; reading the cached state kept
+// the PG rejecting forever and hung the client in a retry loop.
+func TestAdmitLeavesRejectBandOnceDrained(t *testing.T) {
+	o, err := New(Config{
+		ID:         3,
+		Transport:  messenger.NewInProc(),
+		ListenAddr: "osd.admit",
+		Dev:        device.NewMem(64 << 20),
+		Bank:       nvm.NewBank(16 << 20),
+		Mode:       ModeProposed,
+		Partitions: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	const pg = 2
+	pgs, err := o.pgStateFor(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The log filled past the reject threshold, then a drain emptied it.
+	if st := pgs.throttle.Observe(1); st != qos.StateReject {
+		t.Fatalf("throttle state = %v, want reject", st)
+	}
+	if occ := pgs.log.Occupancy(); occ != 0 {
+		t.Fatalf("occupancy = %v, want an empty log", occ)
+	}
+	// The throttle steps down one band per sample: reject to delay on the
+	// first write, delay to clear on the next. Both writes are admitted.
+	var conn replyConn
+	oid := wire.ObjectID{Pool: 1, Name: "admit"}
+	for i, want := range []qos.State{qos.StateDelay, qos.StateClear} {
+		if !o.admitMutation(&conn, uint64(i+1), pg, oid) {
+			t.Fatalf("write %d rejected against an empty log (replies %v)", i, conn.sent)
+		}
+		if st := pgs.throttle.State(); st != want {
+			t.Fatalf("throttle state = %v after write %d, want %v", st, i, want)
+		}
+	}
+	if n := o.drainPressure.Load(); n != 0 {
+		t.Fatalf("drainPressure = %d, want 0", n)
 	}
 }

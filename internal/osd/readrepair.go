@@ -2,13 +2,11 @@ package osd
 
 import (
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"log"
 	"time"
 
 	"rebloc/internal/crush"
-	"rebloc/internal/messenger"
 	"rebloc/internal/store"
 	"rebloc/internal/wire"
 )
@@ -139,39 +137,17 @@ func waitReplQuiet(pgs *pgState, timeout time.Duration) bool {
 	return true
 }
 
-// fetchObject pulls one whole object from peer over a dedicated lockstep
-// connection (the backfillAttempt pattern). ok only when the peer is
+// fetchObject pulls one whole object from peer. ok only when the peer is
 // clean AND its own verified read succeeded — a Bad object means the
 // peer's copy is rotten too.
 func (o *OSD) fetchObject(m *crush.Map, peer uint32, pg uint32, oid wire.ObjectID) ([]byte, bool) {
-	info, ok := m.OSDs[peer]
+	pull, ok := o.dialPull(m, peer)
 	if !ok {
 		return nil, false
 	}
-	pull, err := o.cfg.Transport.Dial(info.Addr)
-	if err != nil {
-		return nil, false
-	}
-	if !o.aux.Add(pull) {
-		pull.Close()
-		return nil, false
-	}
-	defer func() {
-		o.aux.Remove(pull)
-		pull.Close()
-	}()
-	if err := pull.Send(&wire.ScrubPull{ReqID: 1, PG: pg, OID: oid}); err != nil {
-		return nil, false
-	}
-	msg, err := recvPullReply(pull, 1)
-	if err != nil {
-		return nil, false
-	}
-	chunk, ok := msg.(*wire.ScrubChunk)
-	if !ok || chunk.Status != wire.StatusOK || !chunk.Clean {
-		return nil, false
-	}
-	if len(chunk.Objects) != 1 || chunk.Objects[0].Bad {
+	defer pull.Close()
+	chunk, ok := pull.pgPull(wire.PGPull{PG: pg, Depth: wire.DepthData, OID: oid})
+	if !ok || len(chunk.Objects) != 1 || chunk.Objects[0].Bad {
 		return nil, false
 	}
 	return chunk.Objects[0].Data, true
@@ -201,117 +177,4 @@ func (o *OSD) installRepair(pg uint32, pgs *pgState, oid wire.ObjectID, data []b
 			o.ScrubRepairs.Inc()
 		}})
 	})
-}
-
-// serveScrubPull answers both ScrubPull shapes (scrub.go documents the
-// protocol). Objects ship from a clean PG only — the same authority rule
-// as backfill: half-synced data must never become a repair source.
-func (o *OSD) serveScrubPull(conn messenger.Conn, msg *wire.ScrubPull) {
-	reply := &wire.ScrubChunk{ReqID: msg.ReqID, PG: msg.PG, Status: wire.StatusOK}
-	o.pgMu.Lock()
-	s, ok := o.pgs[msg.PG]
-	o.pgMu.Unlock()
-	if ok {
-		s.mu.Lock()
-		reply.Clean = s.clean
-		s.mu.Unlock()
-	}
-	if !ok || !reply.Clean {
-		reply.Status = wire.StatusAgain
-		_ = conn.Send(reply)
-		return
-	}
-	if s.log != nil {
-		if err := o.flushPG(s); err != nil {
-			reply.Status = wire.StatusIOError
-			_ = conn.Send(reply)
-			return
-		}
-	}
-
-	if msg.OID.Name != "" {
-		// Exact-object fetch (read-repair): whole object, data included.
-		obj, status := o.scrubObject(msg.PG, msg.OID, true, true)
-		if status != wire.StatusOK {
-			reply.Status = status
-		} else {
-			reply.Objects = append(reply.Objects, obj)
-		}
-		reply.Done = true
-		_ = conn.Send(reply)
-		return
-	}
-
-	var cursor store.Key
-	if msg.Cursor != "" {
-		if _, err := fmt.Sscanf(msg.Cursor, "%016x", &cursor); err != nil {
-			reply.Status = wire.StatusInvalid
-			_ = conn.Send(reply)
-			return
-		}
-	}
-	max := int(msg.Max)
-	if max <= 0 || max > 256 {
-		max = 32
-	}
-	infos, last, done, err := o.st.ListPG(msg.PG, cursor, max)
-	if err != nil {
-		reply.Status = wire.StatusIOError
-		_ = conn.Send(reply)
-		return
-	}
-	for _, info := range infos {
-		obj, status := o.scrubObject(msg.PG, info.OID, msg.Deep, false)
-		if status == wire.StatusNotFound {
-			continue // deleted between list and read; the next pass re-lists
-		}
-		if status != wire.StatusOK {
-			reply.Status = status
-			reply.Objects = nil
-			_ = conn.Send(reply)
-			return
-		}
-		reply.Objects = append(reply.Objects, obj)
-	}
-	reply.Done = done
-	reply.NextCursor = fmt.Sprintf("%016x", uint64(last))
-	_ = conn.Send(reply)
-}
-
-// scrubObject builds one object's scrub summary. A deep pass reads the
-// object back through the verified path; a local checksum miss marks it
-// Bad (with no data) instead of failing the chunk, so the puller learns
-// this replica's copy is rotten rather than merely divergent. Any other
-// read error is an IOError — silently skipping it would make the puller
-// treat the object as missing and prune or "repair" it with stale data.
-func (o *OSD) scrubObject(pg uint32, oid wire.ObjectID, deep, withData bool) (wire.ScrubObject, wire.Status) {
-	obj := wire.ScrubObject{OID: oid}
-	info, err := o.st.Stat(pg, oid)
-	if errors.Is(err, store.ErrNotFound) {
-		return obj, wire.StatusNotFound
-	}
-	if err != nil {
-		return obj, wire.StatusIOError
-	}
-	obj.Version = info.Version
-	obj.Size = info.Size
-	if !deep {
-		return obj, wire.StatusOK
-	}
-	data, err := o.st.Read(pg, oid, 0, uint32(info.Size))
-	switch {
-	case errors.Is(err, store.ErrChecksum):
-		o.CksumReadErrors.Inc()
-		obj.Bad = true
-		return obj, wire.StatusOK
-	case errors.Is(err, store.ErrNotFound):
-		return obj, wire.StatusNotFound
-	case err != nil:
-		return obj, wire.StatusIOError
-	}
-	obj.CRC = crc32.Checksum(data, crcTab)
-	if withData {
-		obj.Data = data
-	}
-	return obj, wire.StatusOK
 }

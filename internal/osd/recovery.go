@@ -1,8 +1,6 @@
 package osd
 
 import (
-	"errors"
-	"fmt"
 	"log"
 	"time"
 
@@ -229,39 +227,15 @@ func (o *OSD) backfillAttempt(pg uint32, pgs *pgState, m *crush.Map, source uint
 		}
 	}
 
-	// Dedicated connection for the pull protocol: request/reply in
-	// lockstep (the peer conn's recv loop would swallow replies).
-	info, ok := m.OSDs[source]
+	pull, ok := o.dialPull(m, source)
 	if !ok {
 		return res
 	}
-	pull, err := o.cfg.Transport.Dial(info.Addr)
-	if err != nil {
-		return res
-	}
-	// Track the pull conn for teardown: its lockstep Recv below can block
-	// forever when the source dies (or the network eats the reply), and a
-	// stop has no other handle to unblock this goroutine.
-	if !o.aux.Add(pull) {
-		pull.Close()
-		return res
-	}
-	defer func() {
-		o.aux.Remove(pull)
-		pull.Close()
-	}()
+	defer pull.Close()
 
 	// ⑥a: probe the source's authority and recover its op-log suffix.
-	rid := uint64(1)
-	if err := pull.Send(&wire.OplogPull{ReqID: rid, PG: pg}); err != nil {
-		return res
-	}
-	msg, err := recvPullReply(pull, rid)
-	if err != nil {
-		return res
-	}
-	chunk0, ok := msg.(*wire.OplogChunk)
-	if !ok || chunk0.Status != wire.StatusOK {
+	chunk0, ok := pull.oplog(pg)
+	if !ok {
 		return res
 	}
 	res.probed = true
@@ -283,70 +257,38 @@ func (o *OSD) backfillAttempt(pg uint32, pgs *pgState, m *crush.Map, source uint
 
 	// ⑦: full-object backfill.
 	seen := make(map[store.Key]bool)
-	cursor := ""
-	for {
+	synced := pull.walk(pg, wire.DepthData, func(objs []wire.PGObject) bool {
 		select {
 		case <-stop:
-			return res
+			return false
 		default:
 		}
-		rid++
-		if err := pull.Send(&wire.BackfillPull{ReqID: rid, PG: pg, Cursor: cursor, Max: 32}); err != nil {
-			return res
-		}
-		msg, err := recvPullReply(pull, rid)
-		if err != nil {
-			return res
-		}
-		chunk, ok := msg.(*wire.BackfillChunk)
-		if !ok || chunk.Status != wire.StatusOK {
-			return res
-		}
-		for _, obj := range chunk.Objects {
+		for _, obj := range objs {
+			if obj.Bad {
+				// The source's copy is rotten. Skipping it would make the
+				// prune below delete ours as if it were gone cluster-wide,
+				// turning one rotten replica into data loss. Fail the round
+				// instead: the PG stays unclean until scrub or read-repair
+				// heals the source and a clean pull succeeds.
+				return false
+			}
 			seen[store.MakeKey(pg, obj.OID)] = true
 			txn := &store.Transaction{}
 			txn.AddWrite(pg, obj.OID, 0, obj.Data)
 			if err := o.st.Submit(txn); err != nil {
-				return res
+				return false
 			}
 		}
-		if chunk.Done {
-			break
-		}
-		cursor = chunk.NextCursor
+		return true
+	})
+	if !synced {
+		return res
 	}
 	o.pruneStaleObjects(pg, seen)
 	log.Printf("osd %d: pg %d synced from osd %d (%d oplog ops, %d objects)",
 		o.cfg.ID, pg, source, len(chunk0.Ops), len(seen))
 	res.synced = true
 	return res
-}
-
-// recvPullReply reads pull replies until one matches id. At-least-once
-// delivery (a faulty or reconnecting network) can replay an earlier
-// reply; consuming it as the answer to the CURRENT request would shift
-// the lockstep protocol off by one for the rest of the pull.
-func recvPullReply(pull messenger.Conn, id uint64) (wire.Message, error) {
-	for {
-		msg, err := pull.Recv()
-		if err != nil {
-			return nil, err
-		}
-		switch m := msg.(type) {
-		case *wire.OplogChunk:
-			if m.ReqID == id {
-				return msg, nil
-			}
-		case *wire.BackfillChunk:
-			if m.ReqID == id {
-				return msg, nil
-			}
-		case *wire.ScrubChunk:
-			if m.ReqID == id {
-				return msg, nil
-			}
-		}
-	}
 }
 
 // pruneStaleObjects removes local objects the backfill source no longer
@@ -415,75 +357,4 @@ func (o *OSD) serveOplogPull(conn messenger.Conn, msg *wire.OplogPull) {
 		}
 	}
 	_ = conn.Send(chunk)
-}
-
-// serveBackfillPull ships a batch of whole objects for a PG.
-func (o *OSD) serveBackfillPull(conn messenger.Conn, msg *wire.BackfillPull) {
-	reply := &wire.BackfillChunk{ReqID: msg.ReqID, PG: msg.PG, Status: wire.StatusOK}
-	// Backfill must not miss staged data: flush this PG first.
-	o.pgMu.Lock()
-	s, ok := o.pgs[msg.PG]
-	o.pgMu.Unlock()
-	if ok {
-		// Defense against a probe/pull race: the puller checked Clean on
-		// the oplog probe, but a map change could dirty this PG between
-		// the two steps. Half-synced data must never ship.
-		s.mu.Lock()
-		clean := s.clean
-		s.mu.Unlock()
-		if !clean {
-			reply.Status = wire.StatusAgain
-			_ = conn.Send(reply)
-			return
-		}
-	}
-	if ok && s.log != nil {
-		if err := o.flushPG(s); err != nil {
-			reply.Status = wire.StatusIOError
-			_ = conn.Send(reply)
-			return
-		}
-	}
-	var cursor store.Key
-	if msg.Cursor != "" {
-		if _, err := fmt.Sscanf(msg.Cursor, "%016x", &cursor); err != nil {
-			reply.Status = wire.StatusInvalid
-			_ = conn.Send(reply)
-			return
-		}
-	}
-	max := int(msg.Max)
-	if max <= 0 || max > 256 {
-		max = 32
-	}
-	infos, last, done, err := o.st.ListPG(msg.PG, cursor, max)
-	if err != nil {
-		reply.Status = wire.StatusIOError
-		_ = conn.Send(reply)
-		return
-	}
-	for _, info := range infos {
-		data, err := o.st.Read(msg.PG, info.OID, 0, uint32(info.Size))
-		if errors.Is(err, store.ErrNotFound) {
-			continue // deleted between list and read
-		}
-		if err != nil {
-			// Includes checksum failures: silently skipping the object
-			// would make the puller prune it as deleted — turning one
-			// rotten replica into cluster-wide data loss. Abort the chunk;
-			// scrub/read-repair restores the object, then backfill retries.
-			reply.Status = wire.StatusIOError
-			reply.Objects = nil
-			_ = conn.Send(reply)
-			return
-		}
-		reply.Objects = append(reply.Objects, wire.BackfillObject{
-			OID:     info.OID,
-			Version: info.Version,
-			Data:    data,
-		})
-	}
-	reply.Done = done
-	reply.NextCursor = fmt.Sprintf("%016x", uint64(last))
-	_ = conn.Send(reply)
 }

@@ -121,7 +121,7 @@ func (o *OSD) scrubPG(m *crush.Map, pg uint32, acting []uint32, deep bool) int {
 	// whole (chunked pulls) and compared as maps, not walked in lockstep.
 	type remoteView struct {
 		id   uint32
-		objs map[store.Key]wire.ScrubObject
+		objs map[store.Key]wire.PGObject
 	}
 	var remotes []remoteView
 	for _, id := range acting[1:] {
@@ -176,7 +176,7 @@ func (o *OSD) scrubPG(m *crush.Map, pg uint32, acting []uint32, deep bool) int {
 				robj, ok := r.objs[key]
 				// Versions are NOT compared: the store's version is a local
 				// mutation counter, and backfill/read-repair legitimately
-				// desynchronize it across replicas. It ships in ScrubObject
+				// desynchronize it across replicas. It ships in PGObject
 				// for diagnostics only.
 				diverged := ""
 				switch {
@@ -235,51 +235,26 @@ func scrubKind(deep bool) string {
 	return "light"
 }
 
-// scrubPullAll collects one replica's complete object view for a PG via
-// chunked ScrubPull. ok is false when the replica is unreachable, unclean,
-// or errored — the pass skips the PG rather than mis-diagnosing it.
-func (o *OSD) scrubPullAll(m *crush.Map, peer uint32, pg uint32, deep bool) (map[store.Key]wire.ScrubObject, bool) {
-	info, ok := m.OSDs[peer]
+// scrubPullAll collects one replica's complete object view for a PG. ok
+// is false when the replica is unreachable, unclean, or errored — the
+// pass skips the PG rather than mis-diagnosing it.
+func (o *OSD) scrubPullAll(m *crush.Map, peer uint32, pg uint32, deep bool) (map[store.Key]wire.PGObject, bool) {
+	pull, ok := o.dialPull(m, peer)
 	if !ok {
 		return nil, false
 	}
-	pull, err := o.cfg.Transport.Dial(info.Addr)
-	if err != nil {
-		return nil, false
+	defer pull.Close()
+	depth := wire.DepthMeta
+	if deep {
+		depth = wire.DepthCRC
 	}
-	if !o.aux.Add(pull) {
-		pull.Close()
-		return nil, false
-	}
-	defer func() {
-		o.aux.Remove(pull)
-		pull.Close()
-	}()
-
-	objs := make(map[store.Key]wire.ScrubObject)
-	cursor := ""
-	var rid uint64
-	for {
-		rid++
+	objs := make(map[store.Key]wire.PGObject)
+	ok = pull.walk(pg, depth, func(chunk []wire.PGObject) bool {
 		o.scrubLim.Wait("scrub", 1) // pace the remote's reads too
-		req := &wire.ScrubPull{ReqID: rid, PG: pg, Cursor: cursor, Max: 32, Deep: deep}
-		if err := pull.Send(req); err != nil {
-			return nil, false
-		}
-		msg, err := recvPullReply(pull, rid)
-		if err != nil {
-			return nil, false
-		}
-		chunk, ok := msg.(*wire.ScrubChunk)
-		if !ok || chunk.Status != wire.StatusOK || !chunk.Clean {
-			return nil, false
-		}
-		for _, obj := range chunk.Objects {
+		for _, obj := range chunk {
 			objs[store.MakeKey(pg, obj.OID)] = obj
 		}
-		if chunk.Done {
-			return objs, true
-		}
-		cursor = chunk.NextCursor
-	}
+		return true
+	})
+	return objs, ok
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +20,15 @@ func testClient(t *testing.T) *client.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
+	t.Cleanup(func() {
+		c.Close()
+		// Drop the last reference and hand the RAM devices back to the
+		// OS: otherwise the next test's cluster reuses their spans, the
+		// runtime zeroes them, and the suite's resident set grows by a
+		// whole cluster per test.
+		c = nil
+		debug.FreeOSMemory()
+	})
 	cl, err := c.Client()
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestUnmarshalGarbageNeverPanics(t *testing.T) {
 		binary.LittleEndian.PutUint32(buf, uint32(n))
 		// Half the time use a valid type byte so the decoder goes deep.
 		if i%2 == 0 {
-			buf[4] = byte(rng.Intn(int(TBackfillChunk)) + 1)
+			buf[4] = byte(rng.Intn(int(lastType)) + 1)
 		}
 		_, _ = Unmarshal(buf) // must not panic
 	}
@@ -34,7 +34,15 @@ func TestDecodeTruncatedValidFrames(t *testing.T) {
 		&ClientWrite{ReqID: 1, OID: ObjectID{Pool: 1, Name: "object-name"}, Offset: 4096, Data: make([]byte, 128)},
 		&Repl{ReqID: 2, PG: 3, Op: Op{Kind: OpWrite, OID: ObjectID{Name: "x"}, Data: make([]byte, 64)}},
 		&OplogChunk{ReqID: 1, Ops: []Op{{Kind: OpDelete, OID: ObjectID{Name: "y"}}}},
-		&BackfillChunk{Objects: []BackfillObject{{OID: ObjectID{Name: "z"}, Data: make([]byte, 32)}}, Done: true},
+		&ReplBatch{Items: []Repl{
+			{ReqID: 1, PG: 2, Op: Op{Kind: OpWrite, OID: ObjectID{Name: "a"}, Data: make([]byte, 16)}},
+			{ReqID: 2, PG: 2, Op: Op{Kind: OpDelete, OID: ObjectID{Name: "b"}}},
+		}},
+		&PGChunk{Clean: true, Objects: []PGObject{
+			{OID: ObjectID{Name: "z"}, Size: 32, CRC: 5, Data: make([]byte, 32)},
+			{OID: ObjectID{Name: "rot"}, Size: 4096, Bad: true},
+			{OID: ObjectID{Name: "meta"}, Size: 8},
+		}, Next: 9, Done: true},
 	}
 	for _, m := range msgs {
 		frame := Marshal(m)

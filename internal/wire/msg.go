@@ -24,11 +24,13 @@ const (
 	TFlush
 	TOplogPull
 	TOplogChunk
-	TBackfillPull
-	TBackfillChunk
+	TPGPull
+	TPGChunk
 	TReplBatch
-	TScrubPull
-	TScrubChunk
+
+	// lastType is the highest message type. It must stay the final entry
+	// of this block: the wire tests cover every type up to it.
+	lastType MsgType = iota
 )
 
 // String names the message type.
@@ -62,16 +64,12 @@ func (t MsgType) String() string {
 		return "OplogPull"
 	case TOplogChunk:
 		return "OplogChunk"
-	case TBackfillPull:
-		return "BackfillPull"
-	case TBackfillChunk:
-		return "BackfillChunk"
+	case TPGPull:
+		return "PGPull"
+	case TPGChunk:
+		return "PGChunk"
 	case TReplBatch:
 		return "ReplBatch"
-	case TScrubPull:
-		return "ScrubPull"
-	case TScrubChunk:
-		return "ScrubChunk"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -660,93 +658,6 @@ func (m *OplogChunk) Decode(d *Decoder) {
 	}
 }
 
-// BackfillPull requests a batch of whole objects for a PG, resuming at
-// Cursor ("" to start). Used to resynchronise a replacement OSD.
-type BackfillPull struct {
-	ReqID  uint64
-	PG     uint32
-	Cursor string
-	Max    uint32
-}
-
-// Type implements Message.
-func (*BackfillPull) Type() MsgType { return TBackfillPull }
-
-// Encode implements Message.
-func (m *BackfillPull) Encode(e *Encoder) {
-	e.U64(m.ReqID)
-	e.U32(m.PG)
-	e.String32(m.Cursor)
-	e.U32(m.Max)
-}
-
-// Decode implements Message.
-func (m *BackfillPull) Decode(d *Decoder) {
-	m.ReqID = d.U64()
-	m.PG = d.U32()
-	m.Cursor = d.String32()
-	m.Max = d.U32()
-}
-
-// BackfillObject is one object snapshot inside a BackfillChunk.
-type BackfillObject struct {
-	OID     ObjectID
-	Version uint64
-	Data    []byte
-}
-
-// BackfillChunk returns a batch of objects; Done marks the end of the PG.
-type BackfillChunk struct {
-	ReqID      uint64
-	PG         uint32
-	Status     Status
-	Objects    []BackfillObject
-	NextCursor string
-	Done       bool
-}
-
-// Type implements Message.
-func (*BackfillChunk) Type() MsgType { return TBackfillChunk }
-
-// Encode implements Message.
-func (m *BackfillChunk) Encode(e *Encoder) {
-	e.U64(m.ReqID)
-	e.U32(m.PG)
-	e.U8(uint8(m.Status))
-	e.U32(uint32(len(m.Objects)))
-	for i := range m.Objects {
-		m.Objects[i].OID.encode(e)
-		e.U64(m.Objects[i].Version)
-		e.Bytes32(m.Objects[i].Data)
-	}
-	e.String32(m.NextCursor)
-	e.Bool(m.Done)
-}
-
-// Decode implements Message.
-func (m *BackfillChunk) Decode(d *Decoder) {
-	m.ReqID = d.U64()
-	m.PG = d.U32()
-	m.Status = Status(d.U8())
-	n := int(d.U32())
-	if n != 0 {
-		if n < 0 || n > 1<<20 || n > d.Remaining()/16 {
-			d.err = ErrShortBuffer
-			return
-		}
-		m.Objects = make([]BackfillObject, 0, n)
-		for i := 0; i < n; i++ {
-			m.Objects = append(m.Objects, BackfillObject{
-				OID:     decodeObjectID(d),
-				Version: d.U64(),
-				Data:    d.Bytes32(),
-			})
-		}
-	}
-	m.NextCursor = d.String32()
-	m.Done = d.Bool()
-}
-
 // New returns a zero message of the given type, or nil if unknown.
 func New(t MsgType) Message {
 	switch t {
@@ -778,16 +689,12 @@ func New(t MsgType) Message {
 		return &OplogPull{}
 	case TOplogChunk:
 		return &OplogChunk{}
-	case TBackfillPull:
-		return &BackfillPull{}
-	case TBackfillChunk:
-		return &BackfillChunk{}
+	case TPGPull:
+		return &PGPull{}
+	case TPGChunk:
+		return &PGChunk{}
 	case TReplBatch:
 		return &ReplBatch{}
-	case TScrubPull:
-		return &ScrubPull{}
-	case TScrubChunk:
-		return &ScrubChunk{}
 	default:
 		return nil
 	}

@@ -102,18 +102,18 @@ func TestRoundTripRecoveryMessages(t *testing.T) {
 	if !ok || len(got.Ops) != 2 || got.Ops[1].Kind != OpDelete {
 		t.Fatalf("got %+v", got)
 	}
-	bp := &BackfillPull{ReqID: 3, PG: 4, Cursor: "abc", Max: 128}
-	if got := roundTrip(t, bp); !reflect.DeepEqual(bp, got) {
+	pp := &PGPull{ReqID: 3, PG: 4, Cursor: 17, Max: 128, Depth: DepthData}
+	if got := roundTrip(t, pp); !reflect.DeepEqual(pp, got) {
 		t.Fatalf("got %+v", got)
 	}
-	bc := &BackfillChunk{
-		ReqID: 3, PG: 4, Status: StatusOK,
-		Objects:    []BackfillObject{{OID: ObjectID{Pool: 1, Name: "o1"}, Version: 9, Data: []byte("data")}},
-		NextCursor: "o1", Done: true,
+	pc := &PGChunk{
+		ReqID: 3, PG: 4, Status: StatusOK, Clean: true,
+		Objects: []PGObject{{OID: ObjectID{Pool: 1, Name: "o1"}, Version: 9, Data: []byte("data")}},
+		Next:    17, Done: true,
 	}
-	gotBC, ok := roundTrip(t, bc).(*BackfillChunk)
-	if !ok || !gotBC.Done || len(gotBC.Objects) != 1 || gotBC.Objects[0].Version != 9 {
-		t.Fatalf("got %+v", gotBC)
+	gotPC, ok := roundTrip(t, pc).(*PGChunk)
+	if !ok || !gotPC.Done || len(gotPC.Objects) != 1 || gotPC.Objects[0].Version != 9 {
+		t.Fatalf("got %+v", gotPC)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestQuickRoundTripOp(t *testing.T) {
 }
 
 func TestNewCoversAllTypes(t *testing.T) {
-	for tt := TClientWrite; tt <= TBackfillChunk; tt++ {
+	for tt := TClientWrite; tt <= lastType; tt++ {
 		m := New(tt)
 		if m == nil {
 			t.Fatalf("New(%s) = nil", tt)
